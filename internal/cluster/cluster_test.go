@@ -113,6 +113,41 @@ func TestLoopbackCrossNodeVisibility(t *testing.T) {
 	}
 }
 
+// TestStatsExportsProtocolCounters checks that a Tempo node's Stats
+// carry the engine's path and gossip counters.
+func TestStatsExportsProtocolCounters(t *testing.T) {
+	nodes, addrs, topo := startCluster(t, 3, 1)
+	c, err := Dial(addrs[topo.ProcessAt(0, 0)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const puts = 5
+	for i := 0; i < puts; i++ {
+		if err := c.Put(fmt.Sprintf("k%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := nodes[0].Stats()
+	if st.FastPath+st.SlowPath+st.Recovered < puts {
+		t.Fatalf("coordinator decided %d+%d+%d commands, want >= %d", st.FastPath, st.SlowPath, st.Recovered, puts)
+	}
+	// Every node gossips, and the coordinator proposed for every put, so
+	// each of its attached promises rides at least one MPromises.
+	gossiped := func(i int, st Stats) bool {
+		return st.PromisesSent > 0 && (i > 0 || st.AttachedSent >= puts)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for i, n := range nodes {
+		for !gossiped(i, n.Stats()) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if st := n.Stats(); !gossiped(i, st) {
+			t.Fatalf("node %d: %d MPromises carrying %d attached promises", i, st.PromisesSent, st.AttachedSent)
+		}
+	}
+}
+
 func TestLoopbackConcurrentClients(t *testing.T) {
 	_, addrs, topo := startCluster(t, 3, 1)
 	var wg sync.WaitGroup

@@ -43,6 +43,25 @@ type Stats struct {
 	// Pending is the number of commands awaiting execution with live
 	// client waiters.
 	Pending int `json:"pending"`
+	// FastPath, SlowPath and Recovered count the commands this replica
+	// decided as coordinator on the fast path, on the slow path, and
+	// through recovery (engines exposing protocolCounters only).
+	FastPath  uint64 `json:"fast_path"`
+	SlowPath  uint64 `json:"slow_path"`
+	Recovered uint64 `json:"recovered"`
+	// PromisesSent counts MPromises broadcasts (one per gossip round,
+	// whatever the number of shard peers) and AttachedSent the attached
+	// promises they carried.
+	PromisesSent uint64 `json:"promises_sent"`
+	AttachedSent uint64 `json:"attached_sent"`
+}
+
+// protocolCounters is the optional engine interface behind the protocol
+// fields of Stats; tempo.Process implements it. Its methods read state
+// owned by the protocol lock.
+type protocolCounters interface {
+	Stats() (fast, slow, recovered uint64)
+	GossipStats() (msgs, attached uint64)
 }
 
 // Stats snapshots the node's serving counters.
@@ -50,7 +69,7 @@ func (n *Node) Stats() Stats {
 	n.execMu.Lock()
 	execQ := len(n.execQ)
 	n.execMu.Unlock()
-	return Stats{
+	st := Stats{
 		Shard:          uint32(n.shard),
 		SubmittedCmds:  n.stat.submittedCmds.Load(),
 		SubmittedOps:   n.stat.submittedOps.Load(),
@@ -63,4 +82,11 @@ func (n *Node) Stats() Stats {
 		ExecQueue:      execQ,
 		Pending:        n.pendingCmds(),
 	}
+	if pc, ok := n.rep.(protocolCounters); ok {
+		n.mu.Lock()
+		st.FastPath, st.SlowPath, st.Recovered = pc.Stats()
+		st.PromisesSent, st.AttachedSent = pc.GossipStats()
+		n.mu.Unlock()
+	}
+	return st
 }

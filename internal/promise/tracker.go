@@ -38,8 +38,13 @@ type Tracker struct {
 	// locally, keyed by command id.
 	pending map[ids.Dot][]Attached
 	// committed remembers command ids whose attached promises may be
-	// incorporated.
-	committed map[ids.Dot]struct{}
+	// incorporated: the committed sequence numbers of each source
+	// process. Dots are minted in sequence per source and commit roughly
+	// in that order, so a set compresses to a few intervals — its size
+	// tracks in-flight commands, not history. (A source of another shard
+	// contributes only its cross-shard commands, whose sparse sequence
+	// numbers take one interval each.)
+	committed map[ids.ProcessID]*IntervalSet
 }
 
 // NewTracker creates a tracker for a replica group of r processes.
@@ -50,7 +55,7 @@ func NewTracker(r int) *Tracker {
 		hc:        make([]uint64, r),
 		scratch:   make([]uint64, r),
 		pending:   make(map[ids.Dot][]Attached),
-		committed: make(map[ids.Dot]struct{}),
+		committed: make(map[ids.ProcessID]*IntervalSet),
 	}
 	for i := range t.perRank {
 		t.perRank[i] = &IntervalSet{}
@@ -92,7 +97,7 @@ func (t *Tracker) AddDetachedPairs(rank ids.Rank, pairs []uint64) {
 // buffered until Committed is called for the command. It returns true if
 // the promise was incorporated and false if buffered.
 func (t *Tracker) AddAttached(a Attached) bool {
-	if _, ok := t.committed[a.ID]; ok {
+	if t.IsCommitted(a.ID) {
 		t.perRank[a.Owner-1].Add(a.TS)
 		t.refresh(a.Owner)
 		return true
@@ -104,10 +109,14 @@ func (t *Tracker) AddAttached(a Attached) bool {
 // Committed marks a command as committed (or executed), releasing any
 // buffered attached promises for it (line 47 of Algorithm 2).
 func (t *Tracker) Committed(id ids.Dot) {
-	if _, ok := t.committed[id]; ok {
+	s := t.committed[id.Source]
+	if s == nil {
+		s = &IntervalSet{}
+		t.committed[id.Source] = s
+	} else if s.Contains(id.Seq) {
 		return
 	}
-	t.committed[id] = struct{}{}
+	s.Add(id.Seq)
 	for _, a := range t.pending[id] {
 		t.perRank[a.Owner-1].Add(a.TS)
 		t.refresh(a.Owner)
@@ -117,8 +126,20 @@ func (t *Tracker) Committed(id ids.Dot) {
 
 // IsCommitted reports whether the tracker has been told id is committed.
 func (t *Tracker) IsCommitted(id ids.Dot) bool {
-	_, ok := t.committed[id]
-	return ok
+	s := t.committed[id.Source]
+	return s != nil && s.Contains(id.Seq)
+}
+
+// CommittedIntervals returns how many intervals the committed-id sets
+// hold across all source processes: a measure of their memory, which
+// tracks commands still in flight rather than every command ever
+// committed.
+func (t *Tracker) CommittedIntervals() int {
+	n := 0
+	for _, s := range t.committed {
+		n += s.NumIntervals()
+	}
+	return n
 }
 
 // PendingIDs returns the ids with buffered attached promises: commands
@@ -168,13 +189,4 @@ func (t *Tracker) Stable() uint64 {
 		t.stable = s[t.r/2]
 	}
 	return t.stable
-}
-
-// Forget drops commit bookkeeping for a command once its attached
-// promises can no longer arrive (after global execution); it bounds the
-// committed map. The promise intervals themselves are retained (they are
-// compressed).
-func (t *Tracker) Forget(id ids.Dot) {
-	delete(t.committed, id)
-	delete(t.pending, id)
 }

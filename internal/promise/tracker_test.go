@@ -123,12 +123,33 @@ func TestHighestContiguousPerRank(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
+// TestCommittedCompactsPerSource pins the committed-id representation:
+// commits from one source fold into one interval whatever their number
+// or order, an out-of-order commit costs one interval until the gap
+// below it commits, and sources never see each other's ids.
+func TestCommittedCompactsPerSource(t *testing.T) {
 	tr := NewTracker(3)
-	id := dot(1, 1)
-	tr.Committed(id)
-	tr.Forget(id)
-	if tr.IsCommitted(id) {
-		t.Error("forgotten command should not be committed")
+	for seq := 1; seq <= 1000; seq++ {
+		tr.Committed(dot(1, seq))
+		tr.Committed(dot(2, 1001-seq))
+	}
+	if got := tr.CommittedIntervals(); got != 2 {
+		t.Fatalf("2000 contiguous commits from 2 sources hold %d intervals, want 2", got)
+	}
+	tr.Committed(dot(1, 1002))
+	if got := tr.CommittedIntervals(); got != 3 {
+		t.Fatalf("commit past a gap: %d intervals, want 3", got)
+	}
+	if tr.IsCommitted(dot(1, 1001)) || tr.IsCommitted(dot(3, 1)) {
+		t.Fatal("uncommitted id reported committed")
+	}
+	tr.Committed(dot(1, 1001))
+	if got := tr.CommittedIntervals(); got != 2 {
+		t.Fatalf("filled gap: %d intervals, want 2", got)
+	}
+	for _, id := range []ids.Dot{dot(1, 1), dot(1, 1002), dot(2, 1000)} {
+		if !tr.IsCommitted(id) {
+			t.Fatalf("%v not committed", id)
+		}
 	}
 }

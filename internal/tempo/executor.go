@@ -142,6 +142,9 @@ func (p *Process) stableAtAllShards(ci *cmdInfo) bool {
 // nothing is applied twice.
 func (p *Process) execute(td tsDot, ci *cmdInfo) {
 	ci.phase = PhaseExecute
+	if ci.attachedMine == 0 && !p.cfg.RetainLog {
+		p.executedBare = append(p.executedBare, td)
+	}
 	point := TSWatermark{TS: td.ts, ID: td.id}
 	if !p.executedWM.less(point) {
 		return // at or below the watermark: executed before a restart
@@ -162,6 +165,7 @@ func (p *Process) execute(td tsDot, ci *cmdInfo) {
 		})
 	}
 	p.executedWM = point
+	p.gcDue = true // our watermark may be the last to pass a promise
 }
 
 // SetDeferredApply implements proto.DeferredApplier: when on, stable

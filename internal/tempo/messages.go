@@ -236,9 +236,13 @@ type MCommitRequest struct {
 }
 
 // MPromises periodically broadcasts the sender's promises within its shard
-// (Algorithm 2, line 45). Detached is an interval-encoded set (pairs of
-// lo,hi); Attached lists the sender's attached promises not yet folded
-// away; WM is the sender's executed watermark, used for promise GC.
+// (Algorithm 2, line 45). Detached is the sender's whole interval-encoded
+// detached set (pairs of lo,hi). Attached lists, sorted by command id,
+// the attached promises the sender made since its previous broadcast —
+// or, once per Config.CommitRequestDelay, the oldest of all those not yet
+// folded away (a refresh that covers lost messages); either way at most
+// 256 entries. WM is the sender's executed watermark, used for promise
+// GC.
 //
 //tempo:wire
 type MPromises struct {

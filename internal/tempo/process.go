@@ -38,7 +38,11 @@ type Config struct {
 	// (Appendix B suggests delaying MCommitRequest "in the hope that
 	// such information will be received anyway"). Default
 	// RecoveryTimeout/4; commit requests are also rate-limited per
-	// command at this interval.
+	// command at this interval. It is also the refresh period of the
+	// attached-promise gossip: each attached promise rides one MPromises
+	// when made, and once per CommitRequestDelay a broadcast re-sends
+	// the oldest ones, so a process that missed a commit sees the
+	// command again and asks for it within 2×CommitRequestDelay.
 	CommitRequestDelay time.Duration
 	// RetainLog keeps per-command state after it becomes garbage-
 	// collectable (globally executed). Tests and debugging tools use it;
@@ -217,10 +221,13 @@ type Process struct {
 	// periodic MPromises broadcast pays one O(fresh log fresh + total)
 	// merge instead of re-sorting the whole set — cheaper than the
 	// sort.Slice it replaced even under an overload backlog.
+	// attachedUnsent queues, oldest first, the promises no MPromises has
+	// carried yet: gossip sends each one once (see broadcastPromises).
 	attachedOwn    map[ids.Dot]uint64
 	attachedSorted []AttachedWire
 	attachedFresh  []AttachedWire
 	attachedMerge  []AttachedWire
+	attachedUnsent []AttachedWire
 	tracker        *promise.Tracker
 
 	cmds    map[ids.Dot]*cmdInfo
@@ -237,8 +244,12 @@ type Process struct {
 	committed  tsDotHeap
 	ready      []tsDot // stable commands waiting (in order) for execution
 	executedWM TSWatermark
-	peerWM     map[ids.Rank]TSWatermark
-	store      *kvstore.Store
+	// executedBare lists, in execution order, executed commands this
+	// process holds no attached promise for; gcPromises collects them
+	// (the others go with their promise).
+	executedBare []tsDot
+	peerWM       map[ids.Rank]TSWatermark
+	store        *kvstore.Store
 	// executedOut collects inline executions; in deferred-apply mode
 	// stableOut collects execution-stable commands for the runtime to
 	// apply off the protocol lock instead (see proto.DeferredApplier).
@@ -247,7 +258,11 @@ type Process struct {
 	deferApply  bool
 
 	lastPromises time.Duration
+	lastRefresh  time.Duration
 	lastResend   time.Duration
+	// gcDue records that an executed watermark (ours or a peer's)
+	// advanced since the last promise GC sweep; Tick sweeps at most once.
+	gcDue bool
 	// uncommittedSeen tracks when an attached promise for a not-locally-
 	// committed command was first observed, and lastCommitReq rate-limits
 	// MCommitRequest per command (Appendix B liveness, delayed).
@@ -264,6 +279,7 @@ type Process struct {
 
 	// stats
 	statFast, statSlow, statRecovered uint64
+	statPromiseMsgs, statAttachedSent uint64
 }
 
 var _ proto.Replica = (*Process)(nil)
@@ -344,6 +360,13 @@ func (p *Process) Store() *kvstore.Store { return p.store }
 // decided by this process as coordinator.
 func (p *Process) Stats() (fast, slow, recovered uint64) {
 	return p.statFast, p.statSlow, p.statRecovered
+}
+
+// GossipStats returns the MPromises broadcasts this process sent and the
+// attached-promise entries they carried. A broadcast counts once, however
+// many shard peers it goes to.
+func (p *Process) GossipStats() (msgs, attached uint64) {
+	return p.statPromiseMsgs, p.statAttachedSent
 }
 
 // SetLeader implements proto.LeaderAware: the Ω failure detector output
@@ -639,27 +662,29 @@ func cmpAttachedID(a AttachedWire, id ids.Dot) int {
 }
 
 // addOwnAttached records an attached promise: O(1) on the hot path (an
-// append to the fresh tail), with ordering restored lazily by
-// foldFreshAttached at broadcast/GC time.
+// append to the fresh tail and to the unsent queue), with ordering
+// restored lazily by foldFreshAttached at broadcast/GC time.
 func (p *Process) addOwnAttached(id ids.Dot, t uint64) {
+	aw := AttachedWire{ID: id, TS: t}
 	if _, ok := p.attachedOwn[id]; ok {
 		p.attachedOwn[id] = t
 		// Rare (a command proposes once): refresh whichever view holds
-		// the entry.
+		// the entry, and advertise the new value.
 		if i, found := slices.BinarySearchFunc(p.attachedSorted, id, cmpAttachedID); found {
 			p.attachedSorted[i].TS = t
-			return
+		} else if i := slices.IndexFunc(p.attachedFresh, func(a AttachedWire) bool { return a.ID == id }); i >= 0 {
+			p.attachedFresh[i].TS = t
 		}
-		for i := range p.attachedFresh {
-			if p.attachedFresh[i].ID == id {
-				p.attachedFresh[i].TS = t
-				return
-			}
+		if i := slices.IndexFunc(p.attachedUnsent, func(a AttachedWire) bool { return a.ID == id }); i >= 0 {
+			p.attachedUnsent[i].TS = t
+		} else {
+			p.attachedUnsent = append(p.attachedUnsent, aw)
 		}
 		return
 	}
 	p.attachedOwn[id] = t
-	p.attachedFresh = append(p.attachedFresh, AttachedWire{ID: id, TS: t})
+	p.attachedFresh = append(p.attachedFresh, aw)
+	p.attachedUnsent = append(p.attachedUnsent, aw)
 }
 
 // foldFreshAttached merges the fresh tail into the sorted view: sort
@@ -904,6 +929,10 @@ func (p *Process) Tick(now time.Duration) []proto.Action {
 		return nil
 	}
 	p.now = now
+	if p.gcDue {
+		p.gcDue = false
+		p.gcPromises()
+	}
 	var acts []proto.Action
 	if now-p.lastPromises >= p.cfg.PromiseInterval {
 		p.lastPromises = now
@@ -916,9 +945,28 @@ func (p *Process) Tick(now time.Duration) []proto.Action {
 	return p.route(append(acts, p.advanceExecution()...))
 }
 
+// maxAttachedGossip caps the attached promises one MPromises carries, so
+// a backlog cannot inflate every broadcast and starve the CPU.
+const maxAttachedGossip = 256
+
 // broadcastPromises sends MPromises to the other shard replicas (line 90).
+//
+// Detached promises go out whole every time (they compress to a few
+// intervals), but attached ones are sent once: a broadcast carries only
+// the promises made since the previous one, up to maxAttachedGossip
+// oldest-first (the rest wait for the next broadcast). MCommit
+// piggybacks them too, so peers normally have each promise twice over.
+// For lost messages, once per CommitRequestDelay the broadcast is a
+// refresh instead: the oldest maxAttachedGossip of the whole id-ordered
+// set (the rest follow once those are garbage-collected). A peer that
+// missed a commit thus sees the command's promise again and asks for the
+// commit (onMPromises).
+//
+// Attached entries are copied: the message is encoded asynchronously by
+// the peer writers while the live sets keep mutating.
 func (p *Process) broadcastPromises() []proto.Action {
 	if len(p.shardOthers) == 0 {
+		p.attachedUnsent = p.attachedUnsent[:0] // nobody to tell
 		return nil
 	}
 	m := &MPromises{
@@ -926,24 +974,33 @@ func (p *Process) broadcastPromises() []proto.Action {
 		Detached: p.detached.Encode(),
 		WM:       p.executedWM,
 	}
-	// Fold the fresh tail in, then the broadcast is a bounded copy of the
-	// id-ordered set — no full re-sort per broadcast. The copy is
-	// required: the message is encoded asynchronously by the peer writers
-	// while the live set keeps mutating.
-	//
-	// The cap bounds the gossip size under overload: advertise the oldest
-	// entries first (the rest follow once those are garbage-collected).
-	// Without it, a backlog inflates every MPromises and starves the CPU.
-	p.foldFreshAttached()
-	const maxAttachedGossip = 256
-	if n := min(len(p.attachedSorted), maxAttachedGossip); n > 0 {
-		m.Attached = append(make([]AttachedWire, 0, n), p.attachedSorted[:n]...)
+	if p.now-p.lastRefresh >= p.cfg.CommitRequestDelay {
+		p.lastRefresh = p.now
+		p.foldFreshAttached()
+		n := min(len(p.attachedSorted), maxAttachedGossip)
+		if n > 0 {
+			m.Attached = append(make([]AttachedWire, 0, n), p.attachedSorted[:n]...)
+		}
+		// Unsent promises the refresh carried need no first send.
+		if n == len(p.attachedSorted) {
+			p.attachedUnsent = p.attachedUnsent[:0]
+		} else {
+			last := p.attachedSorted[n-1].ID
+			p.attachedUnsent = slices.DeleteFunc(p.attachedUnsent, func(a AttachedWire) bool { return !last.Less(a.ID) })
+		}
+	} else if n := min(len(p.attachedUnsent), maxAttachedGossip); n > 0 {
+		m.Attached = append(make([]AttachedWire, 0, n), p.attachedUnsent[:n]...)
+		slices.SortFunc(m.Attached, func(a, b AttachedWire) int { return cmpAttachedID(a, b.ID) })
+		p.attachedUnsent = p.attachedUnsent[:copy(p.attachedUnsent, p.attachedUnsent[n:])]
 	}
+	p.statPromiseMsgs++
+	p.statAttachedSent += uint64(len(m.Attached))
 	return []proto.Action{proto.Send(m, p.shardOthers...)}
 }
 
-// onMPromises incorporates a peer's promises (line 92) and performs
-// promise GC based on executed watermarks.
+// onMPromises incorporates a peer's promises (line 92) and records the
+// peer's executed watermark; when it advanced, the next Tick runs the
+// promise GC sweep (one sweep per tick, however many peers reported).
 func (p *Process) onMPromises(m *MPromises) []proto.Action {
 	p.tracker.AddDetachedPairs(m.Rank, m.Detached)
 	var acts []proto.Action
@@ -978,7 +1035,7 @@ func (p *Process) onMPromises(m *MPromises) []proto.Action {
 	}
 	if wm, ok := p.peerWM[m.Rank]; !ok || wm.less(m.WM) {
 		p.peerWM[m.Rank] = m.WM
-		p.gcPromises()
+		p.gcDue = true
 	}
 	return acts
 }
@@ -987,7 +1044,8 @@ func (p *Process) onMPromises(m *MPromises) []proto.Action {
 // peer's executed watermark has passed the command: at that point every
 // replica has committed (indeed executed) the command, so re-advertising
 // the timestamp as detached can no longer create a premature stability
-// decision. This also garbage-collects per-command state.
+// decision. This also garbage-collects per-command state, of commands we
+// proposed for and of those we did not alike.
 func (p *Process) gcPromises() {
 	if len(p.peerWM) < p.r-1 {
 		return
@@ -1029,6 +1087,17 @@ func (p *Process) gcPromises() {
 		kept = append(kept, aw)
 	}
 	p.attachedSorted = kept
+	n := 0
+	for _, td := range p.executedBare {
+		if point := (TSWatermark{TS: td.ts, ID: td.id}); minWM.less(point) {
+			break
+		}
+		if ci, ok := p.cmds[td.id]; ok {
+			p.collect(td.id, ci)
+		}
+		n++
+	}
+	p.executedBare = p.executedBare[n:]
 }
 
 // onMCommitRequest replays payload and commit info for a committed
