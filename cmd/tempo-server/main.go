@@ -10,10 +10,12 @@
 //	tempo-client -servers 127.0.0.1:7001,127.0.0.1:7002 put greeting hello
 //
 // The i-th entry of -peers is the address of the replica with -id i.
-// Each replica serves peers and clients on the same port: the pipelined
-// binary client protocol (the top-level client package), the legacy gob
-// client protocol, both peer codecs, and the state-sync protocol used
-// by restarting peers are all auto-detected per connection.
+// Each replica serves peers and clients on the same port, through the
+// same serving path as a sharded site (a one-node cluster.Group): the
+// pipelined binary client protocol (the top-level client package), the
+// peer links, the state-sync protocol used by restarting peers and the
+// configuration protocol are told apart by each connection's magic
+// prefix.
 //
 // -engine selects the consensus protocol: tempo (default), epaxos or
 // fpaxos (internal/engine). The baselines serve the same client

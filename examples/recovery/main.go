@@ -1,19 +1,19 @@
-// Recovery, in two acts.
+// Recovery, in two acts, both on real TCP clusters over loopback.
 //
-// Act 1 — protocol recovery (in-memory, the paper's crash-stop model): a
-// replica crashes mid-run; the Ω failure detector settles on a new shard
-// leader, the recovery protocol (Algorithm 4) takes over pending
-// commands, and the system keeps serving clients at the surviving sites
-// — no reconfiguration needed, f=1 of 5 replicas lost.
+// Act 1 — protocol recovery (in-memory replicas, the paper's crash-stop
+// model): a replica crashes with a write it coordinated still in
+// flight; the shard leader's recovery protocol (Algorithm 4) takes the
+// command over and commits it, and the system keeps serving clients at
+// the surviving sites — no reconfiguration needed, f=1 of 5 replicas
+// lost.
 //
-// Act 2 — crash-restart recovery (real TCP cluster, durable nodes): the
-// same scenario the tempo-server -data-dir flag exists for. A
-// three-replica cluster persists every applied command to a write-ahead
-// log with periodic kvstore snapshots; one replica goes down after
-// acknowledging writes, comes back on the same data directory, replays
-// snapshot+WAL, catches up from its peers, and serves linearizable
-// reads of everything — including writes acknowledged while it was
-// down.
+// Act 2 — crash-restart recovery (durable nodes): the same scenario the
+// tempo-server -data-dir flag exists for. A three-replica cluster
+// persists every applied command to a write-ahead log with periodic
+// kvstore snapshots; one replica goes down after acknowledging writes,
+// comes back on the same data directory, replays snapshot+WAL, catches
+// up from its peers, and serves linearizable reads of everything —
+// including writes acknowledged while it was down.
 package main
 
 import (
@@ -27,55 +27,125 @@ import (
 
 	"tempo/client"
 	"tempo/internal/cluster"
-	"tempo/internal/core"
+	"tempo/internal/command"
 	"tempo/internal/ids"
 	"tempo/internal/tempo"
 	"tempo/internal/topology"
 )
 
 func main() {
-	inMemoryRecovery()
+	protocolRecovery()
 	durableRestart()
 }
 
-// inMemoryRecovery is Act 1: Algorithm 4 over the in-process core.
-func inMemoryRecovery() {
-	ctx := context.Background()
-	cluster, err := core.New(core.Options{
-		Tempo: tempo.Config{
-			PromiseInterval: 5 * time.Millisecond,
-			RecoveryTimeout: 20 * time.Millisecond,
-		},
-	})
+// listenAll binds one loopback listener per process of topo.
+func listenAll(topo *topology.Topology) (map[ids.ProcessID]string, map[ids.ProcessID]net.Listener) {
+	addrs := make(map[ids.ProcessID]string)
+	lns := make(map[ids.ProcessID]net.Listener)
+	for _, pi := range topo.Processes() {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		lns[pi.ID] = ln
+		addrs[pi.ID] = ln.Addr().String()
+	}
+	return addrs, lns
+}
+
+// sessionAt opens a client session served by one replica.
+func sessionAt(addrs map[ids.ProcessID]string, pid ids.ProcessID) *client.Session {
+	sess, err := client.New(client.Config{Addrs: map[ids.ProcessID]string{pid: addrs[pid]}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	return sess
+}
 
-	canada := cluster.Client(3)
-	if err := canada.Put(ctx, "ledger", []byte("v1")); err != nil {
+// protocolRecovery is Act 1: Algorithm 4 over sockets. The paper's five
+// EC2 regions run as five loopback replicas behind one shaper, the
+// fault injector: cutting every link into N. California leaves it
+// unable to hear the acknowledgements of the write it coordinates,
+// while its proposal still reaches the others, which is exactly the
+// state a coordinator crash strands a command in.
+func protocolRecovery() {
+	topo := topology.EC2(1)
+	addrs, lns := listenAll(topo)
+	sh := cluster.NewShaper(nil)
+	defer sh.Close()
+	nodes := make(map[ids.ProcessID]*cluster.Node)
+	for _, pi := range topo.Processes() {
+		rep := tempo.New(pi.ID, topo, tempo.Config{
+			PromiseInterval: 5 * time.Millisecond,
+			RecoveryTimeout: 20 * time.Millisecond,
+		})
+		n := cluster.NewNode(pi.ID, rep, addrs)
+		n.SetShaper(sh)
+		if err := n.StartListener(lns[pi.ID]); err != nil {
+			log.Fatal(err)
+		}
+		nodes[pi.ID] = n
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	ireland, ncal := topo.ProcessAt(0, 0), topo.ProcessAt(1, 0)
+	canada, saoPaulo := topo.ProcessAt(3, 0), topo.ProcessAt(4, 0)
+	fmt.Println("5-replica TCP cluster up (the paper's EC2 regions, f=1)")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	viaCanada := sessionAt(addrs, canada)
+	defer viaCanada.Close()
+	if err := viaCanada.Put(ctx, "ledger", []byte("v1")); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote ledger=v1 via canada")
 
-	// Ireland (rank 1, the default Ω choice) fail-stops.
-	cluster.Crash(0, 0)
-	fmt.Println("ireland crashed")
+	// N. California coordinates ledger=v2 but never hears back, then
+	// fail-stops with the command in flight.
+	for _, pi := range topo.Processes() {
+		if pi.ID != ncal {
+			sh.CutOneWay(pi.ID, ncal)
+		}
+	}
+	viaNCal := sessionAt(addrs, ncal)
+	viaNCal.Do(ctx, command.Op{Kind: command.Put, Key: "ledger", Value: []byte("v2")})
+	time.Sleep(100 * time.Millisecond)
+	nodes[ncal].Close()
+	delete(nodes, ncal)
+	viaNCal.Close()
+	fmt.Println("n-california crashed with ledger=v2 in flight")
 
-	// Ω nominates rank 2 (N. California); pending commands coordinated
-	// by Ireland are recovered with their original timestamps
-	// (Properties 1 and 4 of the paper).
-	cluster.SetLeader(2)
-	cluster.Settle(10, 20*time.Millisecond)
+	// Ireland, the shard leader by default (rank 1), recovers the
+	// stranded command with the timestamps proposed for it (Properties
+	// 1 and 4 of the paper), and it executes at every survivor.
+	deadline := time.Now().Add(10 * time.Second)
+	for nodes[ireland].Stats().Recovered == 0 {
+		if time.Now().After(deadline) {
+			log.Fatal("the leader recovered no command")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	fmt.Printf("ireland recovered %d command(s)\n", nodes[ireland].Stats().Recovered)
 
 	// The system remains available for reads and writes.
-	if err := canada.Put(ctx, "ledger", []byte("v2")); err != nil {
-		log.Fatal(err)
-	}
-	v, err := cluster.Client(4).Get(ctx, "ledger")
+	viaSaoPaulo := sessionAt(addrs, saoPaulo)
+	defer viaSaoPaulo.Close()
+	v, err := viaSaoPaulo.Get(ctx, "ledger")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after crash+recovery: ledger=%s (read via s.paulo)\n", v)
+	fmt.Printf("after crash+recovery: ledger=%s (read via sao-paulo)\n", v)
+	if err := viaCanada.Put(ctx, "ledger", []byte("v3")); err != nil {
+		log.Fatal(err)
+	}
+	if v, err = viaSaoPaulo.Get(ctx, "ledger"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("still serving: ledger=%s (written via canada, read via sao-paulo)\n", v)
 }
 
 // durableRestart is Act 2: a real TCP cluster whose nodes persist to
@@ -101,16 +171,7 @@ func durableRestart() {
 	}
 	defer os.RemoveAll(base)
 
-	addrs := make(map[ids.ProcessID]string)
-	lns := make(map[ids.ProcessID]net.Listener)
-	for _, pi := range topo.Processes() {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatal(err)
-		}
-		lns[pi.ID] = ln
-		addrs[pi.ID] = ln.Addr().String()
-	}
+	addrs, lns := listenAll(topo)
 	startNode := func(id ids.ProcessID, ln net.Listener) *cluster.Node {
 		rep := tempo.New(id, topo, tempo.Config{PromiseInterval: 2 * time.Millisecond})
 		n := cluster.NewNode(id, rep, addrs)
@@ -170,10 +231,7 @@ func durableRestart() {
 	nodes[3] = startNode(3, nil)
 	fmt.Println("replica 3 restarted on its data directory")
 
-	probe, err := client.New(client.Config{Addrs: map[ids.ProcessID]string{3: addrs[3]}})
-	if err != nil {
-		log.Fatal(err)
-	}
+	probe := sessionAt(addrs, 3)
 	defer probe.Close()
 	v, err := probe.Get(ctx, "account")
 	if err != nil {

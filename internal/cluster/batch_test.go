@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"net"
@@ -62,20 +63,89 @@ func startClusterWith(t *testing.T, r, f int, configure func(i int, n *Node)) ([
 	return nodes, addrs, topo
 }
 
-// chanWaiter builds a legacy-style waiter completing over a channel, the
-// in-process window into the batch submission path.
-func chanWaiter(deadline time.Time) *waiter {
-	return &waiter{deadline: deadline, ch: make(chan *ClientReply, 1)}
+// replyPipe is an in-process client connection, the window into the
+// submission paths below the wire: the waiters it mints complete through
+// a real clientConn, whose reply frames a reader goroutine decodes off a
+// net.Pipe and routes to a per-request channel.
+type replyPipe struct {
+	cc    *clientConn
+	mu    sync.Mutex
+	next  uint64
+	chans map[uint64]chan testReply
 }
 
-func awaitReply(t *testing.T, w *waiter, what string) *ClientReply {
+// testReply is one decoded reply.
+type testReply struct {
+	OK     bool
+	Error  string
+	Values [][]byte
+}
+
+func newReplyPipe(t *testing.T) *replyPipe {
+	srv, cli := net.Pipe()
+	p := &replyPipe{
+		cc:    &clientConn{conn: srv, dead: make(chan struct{}), kick: make(chan struct{}, 1)},
+		chans: make(map[uint64]chan testReply),
+	}
+	go p.cc.writeLoop()
+	go func() {
+		br := bufio.NewReader(cli)
+		var buf []byte
+		for {
+			body, err := ReadFrame(br, MaxClientFrameBytes, &buf)
+			if err != nil {
+				return
+			}
+			reqID, werr, values, err := DecodeClientReply(body)
+			if err != nil {
+				return
+			}
+			rep := testReply{OK: werr.Code == command.ErrCodeNone, Error: werr.Msg}
+			for _, v := range values {
+				if v != nil {
+					v = append([]byte{}, v...)
+				}
+				rep.Values = append(rep.Values, v)
+			}
+			p.mu.Lock()
+			ch := p.chans[reqID]
+			p.mu.Unlock()
+			ch <- rep
+		}
+	}()
+	t.Cleanup(func() {
+		close(p.cc.dead)
+		srv.Close()
+		cli.Close()
+	})
+	return p
+}
+
+// waiter mints a waiter replying on the pipe.
+func (p *replyPipe) waiter(deadline time.Time) *waiter {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.next++
+	p.chans[p.next] = make(chan testReply, 1)
+	return &waiter{deadline: deadline, cc: p.cc, reqID: p.next}
+}
+
+// replies returns the channel w's reply arrives on.
+func (p *replyPipe) replies(w *waiter) <-chan testReply {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.chans[w.reqID]
+}
+
+// await waits for w's reply.
+func (p *replyPipe) await(t *testing.T, w *waiter, what string) testReply {
 	t.Helper()
 	select {
-	case rep := <-w.ch:
+	case rep := <-p.replies(w):
 		return rep
 	case <-time.After(10 * time.Second):
 		t.Fatalf("%s: no reply", what)
-		return nil
+		return testReply{}
 	}
 }
 
@@ -102,7 +172,7 @@ func TestBatchIndependentResults(t *testing.T) {
 
 	// Seed values through another node so the gets below have something
 	// to read; their completion implies the writes are stable.
-	seed, err := Dial(addrs[topo.ProcessAt(1, 0)])
+	seed, err := dialClient(addrs[topo.ProcessAt(1, 0)])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,30 +184,31 @@ func TestBatchIndependentResults(t *testing.T) {
 	}
 
 	n0 := nodes[0]
+	pipe := newReplyPipe(t)
 	// Park a never-completing pending command so the idle-node immediate
 	// flush (group commit) stays out of the way and the window applies.
-	blocker := chanWaiter(time.Time{})
+	blocker := pipe.waiter(time.Time{})
 	n0.waitMu.Lock()
 	n0.waiters[ids.Dot{Source: 99, Seq: 1}] = &pendingCmd{members: []*waiter{blocker}}
 	n0.syncPendingLocked()
 	n0.waitMu.Unlock()
 
-	wA := chanWaiter(time.Now().Add(time.Millisecond)) // expires before the flush
-	wB := chanWaiter(time.Time{})
-	wC := chanWaiter(time.Time{})
+	wA := pipe.waiter(time.Now().Add(time.Millisecond)) // expires before the flush
+	wB := pipe.waiter(time.Time{})
+	wC := pipe.waiter(time.Time{})
 	n0.submit(wA, []command.Op{{Kind: command.Put, Key: "a", Value: []byte("never")}})
 	n0.submit(wB, []command.Op{{Kind: command.Get, Key: "k1"}})
 	n0.submit(wC, []command.Op{{Kind: command.Get, Key: "k2"}, {Kind: command.Get, Key: "k3"}})
 
-	repA := awaitReply(t, wA, "request A")
+	repA := pipe.await(t, wA, "request A")
 	if repA.OK || !strings.Contains(repA.Error, "deadline") {
 		t.Fatalf("expired batch member reply = %+v, want deadline error", repA)
 	}
-	repB := awaitReply(t, wB, "request B")
+	repB := pipe.await(t, wB, "request B")
 	if !repB.OK || len(repB.Values) != 1 || !bytes.Equal(repB.Values[0], []byte("v1")) {
 		t.Fatalf("request B reply = %+v, want [v1]", repB)
 	}
-	repC := awaitReply(t, wC, "request C")
+	repC := pipe.await(t, wC, "request C")
 	if !repC.OK || len(repC.Values) != 2 ||
 		!bytes.Equal(repC.Values[0], []byte("v2")) || !bytes.Equal(repC.Values[1], []byte("v3")) {
 		t.Fatalf("request C reply = %+v, want [v2 v3]", repC)
@@ -192,7 +263,7 @@ func TestExecutorAppliesInTimestampOrder(t *testing.T) {
 		wg.Add(1)
 		go func(addr string, who int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := dialClient(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -285,9 +356,10 @@ func TestBatchDisabled(t *testing.T) {
 	if n0.batcher != nil {
 		t.Fatal("batcher built despite SetBatch(1, 0)")
 	}
-	w := chanWaiter(time.Time{})
+	pipe := newReplyPipe(t)
+	w := pipe.waiter(time.Time{})
 	n0.submit(w, []command.Op{{Kind: command.Put, Key: "x", Value: []byte("v")}})
-	rep := awaitReply(t, w, "direct request")
+	rep := pipe.await(t, w, "direct request")
 	if !rep.OK {
 		t.Fatalf("direct request failed: %+v", rep)
 	}

@@ -13,36 +13,26 @@ import (
 
 // Client wire protocol
 //
-// The binary client protocol mirrors the peer protocol: after a 4-byte
-// magic prefix, each direction is a stream of length-prefixed frames
-// (uvarint body length || body). Unlike the one-request-in-flight gob
-// protocol it replaces, every request carries a client-chosen request
-// id, so a session keeps any number of commands in flight on one
-// connection and the server completes them in execution order.
+// The client protocol mirrors the peer protocol: after the 4-byte magic
+// prefix ClientMagic2, each direction is a stream of length-prefixed
+// frames (uvarint body length || body). Every request carries a
+// client-chosen request id, so a session keeps any number of commands in
+// flight on one connection and the server completes them in execution
+// order.
 //
-// Request body:  uvarint(reqID) || uvarint(deadline µs, 0 = none) || ops
+// Request body:  kind || uvarint(reqID) || uvarint(deadline µs, 0 = none) || kind fields
 // Reply body:    uvarint(reqID) || error(code, msg) || values (code 0 only)
 //
 // Ops, values and errors use the command package encoders, so nil values
-// (key not found) survive the wire distinct from empty ones. The legacy
-// gob protocol (hello with From == 0, one blocking request at a time)
-// remains auto-detected for old clients.
+// (key not found) survive the wire distinct from empty ones.
 
-// ClientMagic prefixes binary-protocol client connections. Like
-// peerMagic, the leading 0xFF cannot begin a gob stream, and the third
-// byte distinguishes clients from peers.
-var ClientMagic = [4]byte{0xFF, 'T', 'C', 1}
-
-// ClientMagic2 prefixes version-2 client connections: every request
-// frame starts with a kind byte, which adds the cross-shard requests
-// (mint, submit-at, watch) next to plain submission. Replies are
-// unchanged. Servers keep serving version-1 connections, so old clients
-// interoperate; the client package always dials version 2, so new
-// clients need servers at least this version (a pre-v2 server drops the
-// unknown magic and the session reports every replica unreachable).
+// ClientMagic2 prefixes client connections: every request frame starts
+// with a kind byte — plain submission, or one of the cross-shard
+// requests (mint, submit-at, watch). The trailing version byte is 2:
+// version 1, which had no kind byte, is no longer served.
 var ClientMagic2 = [4]byte{0xFF, 'T', 'C', 2}
 
-// Version-2 request kinds.
+// Request kinds.
 const (
 	// ReqSubmit is a plain submission: the serving replica mints the
 	// command id, executes the ops on their (single) shard and replies
@@ -74,44 +64,12 @@ const (
 // directions; receivers drop connections announcing larger frames.
 const MaxClientFrameBytes = 64 << 20
 
-// AppendClientRequest appends a client request frame (length prefix
-// included) to buf. deadline is the time budget the server may hold the
-// command before failing it with ErrCodeTimeout; 0 means no deadline.
-// scratch is a reusable body buffer (the length prefix is variable
-// width, so the body is staged there before the copy into buf); callers
-// on the hot path keep one per connection so steady state allocates
-// nothing.
-//
-//tempo:noalloc
-func AppendClientRequest(buf []byte, scratch *[]byte, reqID uint64, deadline time.Duration, ops []command.Op) []byte {
-	body := binary.AppendUvarint((*scratch)[:0], reqID)
-	body = binary.AppendUvarint(body, uint64(deadline.Microseconds()))
-	body = command.AppendOps(body, ops)
-	*scratch = body
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
-}
-
-// DecodeClientRequest decodes a request frame body.
-func DecodeClientRequest(b []byte) (reqID uint64, deadline time.Duration, ops []command.Op, err error) {
-	if reqID, b, err = proto.ReadUvarint(b); err != nil {
-		return 0, 0, nil, err
-	}
-	var us uint64
-	if us, b, err = proto.ReadUvarint(b); err != nil {
-		return 0, 0, nil, err
-	}
-	deadline = time.Duration(us) * time.Microsecond
-	if ops, _, err = command.DecodeOps(b); err != nil {
-		return 0, 0, nil, err
-	}
-	return reqID, deadline, ops, nil
-}
-
 // AppendClientReply appends a reply frame (length prefix included) to
 // buf. A zero werr.Code reports success and carries values; any other
-// code carries only the error. scratch is reused as in
-// AppendClientRequest.
+// code carries only the error. scratch is a reusable body buffer (the
+// length prefix is variable width, so the body is staged there before
+// the copy into buf); callers on the hot path keep one per connection so
+// steady state allocates nothing.
 //
 //tempo:noalloc
 func AppendClientReply(buf []byte, scratch *[]byte, reqID uint64, werr command.WireError, values [][]byte) []byte {

@@ -80,15 +80,16 @@ func TestWatchAfterExecutionParked(t *testing.T) {
 	k1 := shardedKey(t, topo, 1, "pk1")
 	id := gateway.mintBlock(1)
 
-	// Submit cross-shard via the gateway with a legacy-channel waiter.
-	w := &waiter{ch: make(chan *ClientReply, 1)}
+	// Submit cross-shard via the gateway.
+	pipe := newReplyPipe(t)
+	w := pipe.waiter(time.Time{})
 	gateway.submitCmdAt(id, w, []command.Op{
 		{Kind: command.Put, Key: k0, Value: []byte("v0")},
 		{Kind: command.Put, Key: k1, Value: []byte("v1")},
 		{Kind: command.Get, Key: k1},
 	})
 	select {
-	case rep := <-w.ch:
+	case rep := <-pipe.replies(w):
 		if !rep.OK {
 			t.Fatalf("gateway reply: %s", rep.Error)
 		}
@@ -118,10 +119,10 @@ func TestWatchAfterExecutionParked(t *testing.T) {
 
 	// The late watch completes immediately from the parked buffer with
 	// shard 1's segment: the k1 put (nil) and the k1 get ("v1").
-	lw := &waiter{ch: make(chan *ClientReply, 1)}
+	lw := pipe.waiter(time.Time{})
 	sibling.watch(lw, id)
 	select {
-	case rep := <-lw.ch:
+	case rep := <-pipe.replies(lw):
 		if !rep.OK {
 			t.Fatalf("late watch reply: %s", rep.Error)
 		}
@@ -154,13 +155,14 @@ func TestSubmitAtDuplicateSubmitsOnce(t *testing.T) {
 		{Kind: command.Put, Key: k0, Value: []byte("v")},
 		{Kind: command.Put, Key: k1, Value: []byte("v")},
 	}
-	w1 := &waiter{ch: make(chan *ClientReply, 1)}
-	w2 := &waiter{ch: make(chan *ClientReply, 1)}
+	pipe := newReplyPipe(t)
+	w1 := pipe.waiter(time.Time{})
+	w2 := pipe.waiter(time.Time{})
 	gateway.submitCmdAt(id, w1, ops)
 	gateway.submitCmdAt(id, w2, ops) // retry: same id
 	for i, w := range []*waiter{w1, w2} {
 		select {
-		case rep := <-w.ch:
+		case rep := <-pipe.replies(w):
 			if !rep.OK {
 				t.Fatalf("waiter %d: %s", i, rep.Error)
 			}

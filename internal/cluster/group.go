@@ -14,30 +14,38 @@ import (
 	"tempo/internal/proto"
 )
 
-// dialPeerTimeout bounds peer-link dials (same as node-owned links).
+// dialPeerTimeout bounds peer-link dials.
 const dialPeerTimeout = 2 * time.Second
 
-// Group hosts one Node per locally replicated shard behind a single
-// listener and a single set of peer links — the deployment unit of
-// partial replication: one tempo-server process per site, serving every
-// shard that site replicates.
+// queuePerNode sizes the outbound queues: a hosted node's in-process
+// queue holds queuePerNode messages, and a link to a remote address
+// queuePerNode per hosted node (every hosted node may feed it). A full
+// queue drops, and the protocol's liveness machinery retries. A one-node
+// group thus queues what a node's own per-peer link always did.
+const queuePerNode = 4096
+
+// Group hosts the nodes of one server process behind a single listener
+// and a single set of peer links. It is the only serving path: a
+// partial-replication site hosts one node per locally replicated shard,
+// and a standalone node (Node.Start/StartListener) is a one-node group.
 //
 // Outbound protocol traffic from every hosted node funnels through the
-// group (each node's Transport): messages to co-hosted shards take an
-// in-process queue, messages to remote sites share one link per remote
-// address, with the same coalesced frame batching as node-owned links.
-// Group frames carry (from, to) per message, so one connection
-// multiplexes every shard pair between two sites — including the
-// cross-shard stability signals (MStable) and commit fan-out that make
-// multi-shard commands execute.
+// group (each node's Transport): messages to co-hosted nodes take an
+// in-process queue, messages to other processes share one link per
+// remote address, where a writer goroutine coalesces everything queued
+// into length-prefixed frames. Frames carry (from, to) per message, so
+// one connection multiplexes every shard pair between two sites —
+// including the cross-shard stability signals (MStable) and commit
+// fan-out that make multi-shard commands execute.
 //
-// Inbound, the shared listener demultiplexes by magic prefix: group
-// peer frames to the addressed node, client connections to a router
-// that picks the hosted node by the request's shard, and state-sync
-// requests to the local replica of the requester's shard.
+// Inbound, the listener demultiplexes each connection by its 4-byte
+// magic prefix (0xFF, 'T', kind, version): peer frames to the addressed
+// node, client connections to a router that picks the hosted node by
+// the request's shard, state-sync requests to the local replica of the
+// requester's shard, and configuration requests to the membership view.
+// Any other prefix closes the connection.
 //
-// GroupMagic prefixes inter-group peer links. Like the other magics,
-// the leading 0xFF cannot begin a gob stream.
+// GroupMagic prefixes peer links.
 var GroupMagic = [4]byte{0xFF, 'T', 'G', 1}
 
 // groupMsg is one queued protocol message between two processes.
@@ -104,19 +112,20 @@ func NewGroup(addrs map[ids.ProcessID]string, shardOf map[ids.ProcessID]ids.Shar
 // and installs the group as its transport. Call before StartListener.
 func (g *Group) AddNode(n *Node) {
 	n.SetTransport(g)
+	n.group = g
 	g.nodes[n.id] = n
 	g.byShard[n.shard] = n
 	g.list = append(g.list, n)
-	q := make(chan groupMsg, 8192)
+	q := make(chan groupMsg, queuePerNode)
 	g.localQ[n.id] = q
 	go g.localLoop(n, q)
 }
 
 // StartListener starts accepting on the shared listener. Only the
-// state-sync and peer protocols are served until SetReady — clients
-// fail over to live sites while this one recovers, but co-recovering
-// sites can still exchange snapshots and protocol traffic flows to
-// nodes as each finishes recovery.
+// state-sync, configuration and peer protocols are served until
+// SetReady — clients fail over to live sites while this one recovers,
+// but co-recovering sites can still exchange snapshots and protocol
+// traffic flows to nodes as each finishes recovery.
 func (g *Group) StartListener(ln net.Listener) {
 	g.ln = ln
 	go func() {
@@ -139,9 +148,9 @@ func (g *Group) SetReady() { g.ready.Store(true) }
 
 // Close tears the shared runtime down: the listener, every tracked
 // connection, and the outbound links. Hosted nodes are closed by the
-// caller first, so their shutdown replies are already queued on the
-// client connections when the sockets go away (best effort, as with a
-// standalone node).
+// caller first (a standalone node closes its one-node group itself), so
+// their shutdown replies are already queued on the client connections
+// when the sockets go away (best effort: the reply races the teardown).
 func (g *Group) Close() {
 	g.closed.Do(func() {
 		close(g.done)
@@ -207,7 +216,7 @@ func (g *Group) forward(from, to ids.ProcessID, msg proto.Message) {
 	g.outMu.Lock()
 	ch, ok := g.out[addr]
 	if !ok {
-		ch = make(chan groupMsg, 8192)
+		ch = make(chan groupMsg, queuePerNode*max(1, len(g.list)))
 		g.out[addr] = ch
 		go g.writer(addr, ch)
 	}
@@ -220,8 +229,8 @@ func (g *Group) forward(from, to ids.ProcessID, msg proto.Message) {
 
 // localLoop drains one hosted node's in-process inbound queue,
 // delivering runs of same-origin messages in one batch. Delivery waits
-// for the node to finish recovery (ready), mirroring how a standalone
-// node rejects peer traffic until then; pre-ready messages drop.
+// for the node to finish recovery (ready), as for remote peer traffic;
+// pre-ready messages drop.
 func (g *Group) localLoop(n *Node, q chan groupMsg) {
 	var batch []proto.Message
 	for {
@@ -257,9 +266,10 @@ func (g *Group) localLoop(n *Node, q chan groupMsg) {
 }
 
 // writer drains one remote address's outbound queue over a (re)dialed
-// connection, coalescing everything queued at wake-up into framed
-// writes, exactly like a node's own peer writer but with (from, to)
-// multiplexing records.
+// connection, coalescing everything queued at wake-up (up to
+// maxWriteBatch messages) into framed, buffered writes: a protocol step
+// or tick that fans out many messages to the same site costs one
+// syscall, not one write per message.
 func (g *Group) writer(addr string, ch chan groupMsg) {
 	var conn net.Conn
 	var bw *bufio.Writer
@@ -294,6 +304,7 @@ func (g *Group) writer(addr string, ch chan groupMsg) {
 					break // drop; liveness machinery retries
 				}
 				conn, bw = c, bufio.NewWriter(c)
+				go closeOnHangup(c)
 			}
 			err := g.writeGroupBatch(bw, batch, &head, &body)
 			if err == nil {
@@ -307,6 +318,20 @@ func (g *Group) writer(addr string, ch chan groupMsg) {
 			break
 		}
 	}
+}
+
+// closeOnHangup closes an outbound peer link as soon as the remote end
+// goes away. The accepting side never writes on a peer link, so any
+// read result means the link is dead. Without this, the first batch
+// written after the peer closed (a restart) would vanish into a socket
+// the remote already closed — the kernel accepts the write, the peer
+// answers with a reset — and a message the protocol sends once, such as
+// a proposal acknowledgement, would be lost; closed here, the writer's
+// next write fails and it redials instead.
+func closeOnHangup(c net.Conn) {
+	var b [1]byte
+	c.Read(b[:])
+	c.Close()
 }
 
 func dialGroupPeer(addr string) (net.Conn, error) {
@@ -364,10 +389,9 @@ func (g *Group) writeGroupBatch(bw *bufio.Writer, batch []groupMsg, head, body *
 	return nil
 }
 
-// serveConn demultiplexes one inbound connection by magic prefix. The
-// gob protocols are not served by groups (they predate sharded
-// deployments); a single-node group still answers plain peerMagic links
-// for mixed deployments of one shard.
+// serveConn demultiplexes one inbound connection by magic prefix.
+// Peer and state-sync traffic is served from the start, so co-recovering
+// sites can exchange snapshots; clients only once the group is ready.
 func (g *Group) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -382,20 +406,11 @@ func (g *Group) serveConn(conn net.Conn) {
 		}
 		defer g.untrackPeerConn(conn)
 		g.servePeer(br)
-	case peerMagic:
-		if len(g.list) == 1 {
-			n := g.list[0]
-			if !n.ready.Load() || !g.trackPeerConn(conn) {
-				return
-			}
-			defer g.untrackPeerConn(conn)
-			n.serveBinaryPeer(br)
-		}
-	case ClientMagic, ClientMagic2:
+	case ClientMagic2:
 		if !g.ready.Load() {
 			return // mid-recovery: sessions fail over to live sites
 		}
-		serveClientStream(g, conn, br, magic == ClientMagic2)
+		serveClientStream(g, conn, br)
 	case SyncMagic:
 		g.serveSync(conn, br)
 	case membership.ConfigMagic:
@@ -450,25 +465,18 @@ func (g *Group) servePeer(br *bufio.Reader) {
 }
 
 // serveSync routes a state-catch-up request to the local replica of the
-// requester's shard (the request names the requesting process; old
-// single-shard requests without one are only answerable by single-node
-// groups).
+// requester's shard. The requester must be a known process: an unknown
+// pid would map to the zero shard and be handed the wrong state machine.
 func (g *Group) serveSync(conn net.Conn, br *bufio.Reader) {
 	req, ok := readSyncRequest(conn, br, g.frameLimit)
 	if !ok {
 		return
 	}
-	var n *Node
-	if req.From != 0 {
-		// The requester must be a known process: an unknown pid would
-		// map to the zero shard and be handed the wrong state machine.
-		if shard, ok := g.shardOfPid(req.From); ok {
-			n = g.byShard[shard]
-		}
-	} else if len(g.list) == 1 {
-		n = g.list[0]
+	shard, ok := g.shardOfPid(req.From)
+	if !ok {
+		return
 	}
-	if n != nil {
+	if n := g.byShard[shard]; n != nil {
 		n.answerSync(conn, req)
 	}
 }
@@ -491,13 +499,11 @@ func (g *Group) untrackPeerConn(conn net.Conn) {
 	g.ccMu.Unlock()
 }
 
-// Group as a clientHost: requests route to the hosted node of their
-// shard.
-
-// routeSubmit implements clientHost. Groups are younger than the
-// version-2 protocol, so cross-shard ops are rejected on both protocol
-// versions — a merged result needs submit-at/watch.
-func (g *Group) routeSubmit(ops []command.Op, legacy bool) (*Node, command.WireError) {
+// routeSubmit picks the hosted node serving a plain submission by the
+// ops' shard. Ops spanning shards are rejected — a merged result needs
+// submit-at/watch — and ops of a shard this process does not replicate
+// come back as wrong-shard.
+func (g *Group) routeSubmit(ops []command.Op) (*Node, command.WireError) {
 	sharder := g.list[0].sharder
 	if sharder == nil {
 		return g.list[0], command.WireError{}
@@ -513,17 +519,11 @@ func (g *Group) routeSubmit(ops []command.Op, legacy bool) (*Node, command.WireE
 	return nil, wrongShardErr(s)
 }
 
-// nodeForShard implements clientHost.
-func (g *Group) nodeForShard(s ids.ShardID) *Node { return g.byShard[s] }
-
-// mintNode implements clientHost: id blocks come from the first hosted
-// node's Dot sequence.
-func (g *Group) mintNode() *Node { return g.list[0] }
-
-// localNodes implements clientHost.
-func (g *Group) localNodes() []*Node { return g.list }
-
-// trackClientConn implements clientHost.
+// trackClientConn registers a live client connection so Close can tear
+// it down; false means the group is shutting down and the caller must
+// drop the connection. The done check shares ccMu with Close's sweep,
+// so either the registration is visible to Close or the shutdown is
+// visible here.
 func (g *Group) trackClientConn(cc *clientConn) bool {
 	g.ccMu.Lock()
 	defer g.ccMu.Unlock()
@@ -536,12 +536,8 @@ func (g *Group) trackClientConn(cc *clientConn) bool {
 	return true
 }
 
-// untrackClientConn implements clientHost.
 func (g *Group) untrackClientConn(cc *clientConn) {
 	g.ccMu.Lock()
 	delete(g.conns, cc)
 	g.ccMu.Unlock()
 }
-
-// maxFrame implements clientHost.
-func (g *Group) maxFrame() uint64 { return g.frameLimit }

@@ -12,14 +12,14 @@ import (
 	"tempo/internal/proto"
 )
 
-// Dynamic membership at the runtime layer. A Node (or Group) given a
-// membership.View via SetMembership resolves peer addresses through
-// the view's current epoch instead of the static construction-time
-// map, drops traffic from and to fenced slots (Dead/Left members,
-// whose process ids may already be serving under a successor
-// incarnation), and answers the configuration wire protocol
-// (membership.ConfigMagic, auto-detected on the shared listen port
-// like every other protocol). The epoch-change operations themselves
+// Dynamic membership at the runtime layer. A Node and its Group given a
+// membership.View via SetMembership resolve peer addresses through the
+// view's current epoch instead of the static construction-time map,
+// drop traffic from and to fenced slots (Dead/Left members, whose
+// process ids may already be serving under a successor incarnation),
+// and the group answers the configuration wire protocol
+// (membership.ConfigMagic, auto-detected on the shared listen port like
+// every other protocol). The epoch-change operations themselves
 // — join, drain, replace — are orchestrated one level up by
 // internal/psmr; this file provides their mechanisms: config
 // fetch/push serving, the frontier query, the join floor, the
@@ -28,7 +28,8 @@ import (
 // SetMembership installs a live configuration view. Call before
 // Start; nodes without one run the static address map forever. All
 // nodes of one process (every shard a psmr group hosts) and the group
-// itself share a single view.
+// itself share a single view; a standalone node hands its view to the
+// one-node group StartListener builds.
 func (n *Node) SetMembership(v *membership.View) { n.view = v }
 
 // Epoch returns the current configuration epoch (0 for a statically
@@ -66,45 +67,6 @@ func (n *Node) peerAddrs() map[ids.ProcessID]string {
 // stale instance never saw.
 func (n *Node) fenced(pid ids.ProcessID) bool {
 	return n.view != nil && n.view.State().Fenced(pid)
-}
-
-// serveMembership answers one configuration-protocol request (see the
-// wire protocol note in internal/membership). It is served even
-// before the node is ready: joiners fetch configs and frontier
-// answers from peers regardless of their recovery phase, exactly like
-// the state-sync protocol.
-func (n *Node) serveMembership(conn net.Conn, br *bufio.Reader) {
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	req, err := membership.ReadRequest(br)
-	if err != nil {
-		return
-	}
-	switch req.Kind {
-	case membership.KindFetch, membership.KindPush:
-		if n.view == nil {
-			return // statically wired: no configuration to serve
-		}
-		if req.Kind == membership.KindPush {
-			installPushed(n.view, req.Cfg, fmt.Sprintf("node %d", n.id))
-		}
-		membership.WriteConfigReply(conn, n.view.State().Config)
-	case membership.KindFrontier:
-		clock, seq, ok := n.Frontier(req.Subject)
-		membership.WriteFrontierReply(conn, ok, clock, seq)
-	}
-}
-
-// installPushed adopts a pushed config if newer, logging epoch
-// transitions and rejections (shared by Node and Group serving).
-func installPushed(v *membership.View, cfg *membership.Config, who string) {
-	installed, err := v.Install(cfg)
-	if err != nil {
-		log.Printf("cluster: %s rejected config epoch %d: %v", who, cfg.Epoch, err)
-		return
-	}
-	if installed {
-		log.Printf("cluster: %s installed config epoch %d", who, cfg.Epoch)
-	}
 }
 
 // Frontier returns the highest logical-clock value and command-
@@ -214,8 +176,9 @@ type LinkState struct {
 	// LastRecvUnixMS is when traffic from the peer last arrived at this
 	// node (Unix milliseconds; 0 means never).
 	LastRecvUnixMS int64 `json:"last_recv_unix_ms"`
-	// QueueDepth is the outbound queue depth toward the peer on
-	// node-owned links (group-hosted nodes report 0; see Group.Links).
+	// QueueDepth is the depth of the group's outbound queue toward the
+	// peer's address (in a multi-shard group, the link every process at
+	// that site shares; see Group.Links).
 	QueueDepth int `json:"queue_depth"`
 }
 
@@ -228,8 +191,8 @@ func (n *Node) noteRecv(from ids.ProcessID) {
 	n.linkMu.Unlock()
 }
 
-// Links snapshots per-peer link state (inbound liveness, outbound
-// queue depth).
+// Links snapshots per-peer link state: inbound liveness, and the
+// outbound queue depth of every peer whose address has an open link.
 func (n *Node) Links() map[ids.ProcessID]LinkState {
 	out := make(map[ids.ProcessID]LinkState)
 	n.linkMu.Lock()
@@ -237,13 +200,17 @@ func (n *Node) Links() map[ids.ProcessID]LinkState {
 		out[pid] = LinkState{LastRecvUnixMS: t}
 	}
 	n.linkMu.Unlock()
-	n.outMu.Lock()
-	for pid, ch := range n.out {
-		ls := out[pid]
-		ls.QueueDepth = len(ch)
-		out[pid] = ls
+	if n.group == nil {
+		return out
 	}
-	n.outMu.Unlock()
+	depth := n.group.Links()
+	for pid, addr := range n.peerAddrs() {
+		if d, ok := depth[addr]; ok && pid != n.id {
+			ls := out[pid]
+			ls.QueueDepth = d
+			out[pid] = ls
+		}
+	}
 	return out
 }
 
@@ -303,7 +270,12 @@ func (g *Group) serveMembership(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		if req.Kind == membership.KindPush {
-			installPushed(g.view, req.Cfg, "group "+g.Addr())
+			installed, err := g.view.Install(req.Cfg)
+			if err != nil {
+				log.Printf("cluster: group %s rejected config epoch %d: %v", g.Addr(), req.Cfg.Epoch, err)
+			} else if installed {
+				log.Printf("cluster: group %s installed config epoch %d", g.Addr(), req.Cfg.Epoch)
+			}
 		}
 		membership.WriteConfigReply(conn, g.view.State().Config)
 	case membership.KindFrontier:

@@ -1,8 +1,6 @@
 package fpaxos
 
 import (
-	"encoding/gob"
-
 	"tempo/internal/command"
 	"tempo/internal/ids"
 	"tempo/internal/proto"
@@ -31,13 +29,6 @@ func init() {
 	proto.RegisterWire(tagFAcceptAck, decodeFAcceptAck)
 	proto.RegisterWire(tagFCommit, decodeFCommit)
 	proto.RegisterWire(tagFSlotReq, decodeFSlotReq)
-
-	// Concrete-type registrations for the legacy gob peer codec.
-	gob.Register(&FForward{})
-	gob.Register(&FAccept{})
-	gob.Register(&FAcceptAck{})
-	gob.Register(&FCommit{})
-	gob.Register(&FSlotReq{})
 }
 
 // --- shared field helpers ---
@@ -57,7 +48,7 @@ func readCmds(b []byte) ([]*command.Command, []byte, error) {
 	if err != nil || n > uint64(len(b)) {
 		return nil, b, proto.ErrCorrupt
 	}
-	var cmds []*command.Command // nil when empty, matching gob
+	var cmds []*command.Command // nil when empty: the canonical decoded form
 	if n > 0 {
 		cmds = make([]*command.Command, n)
 	}

@@ -8,20 +8,25 @@
 // key is owned by exactly one writer worker, which stamps each write
 // with a strictly increasing version (a self-describing, checksummed
 // value). That turns consistency checking into arithmetic on three
-// monotone per-key counters:
+// monotone per-key counters and one set:
 //
 //   - attempted: the highest version ever submitted (acked or not);
 //   - acked: the highest version whose write completed OK;
-//   - observed: the highest version any completed read returned.
+//   - observed: the highest version any completed read returned;
+//   - in doubt: the versions whose write failed without a definite
+//     rejection (timed out, connection lost).
 //
 // A read returning a version below max(acked, observed) at the time it
 // was issued is a stale read — by the specification's Ordering property
 // (which includes the real-time order), a committed conflicting write
-// cannot execute after a later-submitted read, and versions on one key
-// only grow. A read above `attempted` is a phantom — a version nobody
-// wrote. A value that fails its checksum or echoes the wrong key is
-// corruption. Reads and writes verify opportunistically on every
-// operation, hours on end, with O(keys) memory.
+// cannot execute after a later-submitted read. The one exception is an
+// in-doubt version: its write may still be in flight and be ordered
+// after a later, acknowledged write of the same key, so reading it is
+// linearizable even below the floor. A read above `attempted` is a
+// phantom — a version nobody wrote. A value that fails its checksum or
+// echoes the wrong key is corruption. Reads and writes verify
+// opportunistically on every operation, hours on end, with memory
+// O(keys + failed writes).
 //
 // Optionally the vulture also carries a check.Incremental fed by the
 // deployment's execution observers (in-process harnesses), folding the
@@ -94,12 +99,19 @@ type Vulture struct {
 	startErr error
 }
 
-// keyState is one tagged key's monotone version accounting.
+// keyState is one tagged key's version accounting.
 type keyState struct {
 	mu        sync.Mutex
 	attempted uint64
 	acked     uint64
 	observed  uint64
+	inDoubt   map[uint64]struct{}
+}
+
+// kv is the part of a client session the probes use.
+type kv interface {
+	Put(ctx context.Context, key string, value []byte) error
+	Get(ctx context.Context, key string) ([]byte, error)
 }
 
 // Outage is one availability window: a gap between successful
@@ -318,8 +330,10 @@ func (v *Vulture) pause(ctx context.Context) {
 
 // probeWrite submits the key's next version. An unacknowledged write
 // stays in `attempted`: it may or may not have executed, and a later
-// read returning it is legitimate either way.
-func (v *Vulture) probeWrite(ctx context.Context, sess *client.Session, k int) {
+// read returning it is legitimate either way. Unless the replica
+// refused it before submission, it is also in doubt: it may execute
+// after the key's next, acknowledged version.
+func (v *Vulture) probeWrite(ctx context.Context, sess kv, k int) {
 	ks := v.keys[k]
 	ks.mu.Lock()
 	ks.attempted++
@@ -328,18 +342,22 @@ func (v *Vulture) probeWrite(ctx context.Context, sess *client.Session, k int) {
 	err := sess.Put(ctx, v.keyName(k), encodeValue(v.keyName(k), next))
 	v.writes.Add(1)
 	v.noteOp(err)
-	if err == nil {
-		ks.mu.Lock()
-		if next > ks.acked {
-			ks.acked = next
+	ks.mu.Lock()
+	switch {
+	case err == nil:
+		ks.acked = max(ks.acked, next)
+	case !errors.Is(err, client.ErrDraining) && !errors.Is(err, client.ErrWrongShard):
+		if ks.inDoubt == nil {
+			ks.inDoubt = make(map[uint64]struct{})
 		}
-		ks.mu.Unlock()
+		ks.inDoubt[next] = struct{}{}
 	}
+	ks.mu.Unlock()
 }
 
 // probeRead reads a key and verifies the returned version against the
 // key's monotone floor (captured at issue time) and ceiling.
-func (v *Vulture) probeRead(ctx context.Context, sess *client.Session, k int) {
+func (v *Vulture) probeRead(ctx context.Context, sess kv, k int) {
 	ks := v.keys[k]
 	key := v.keyName(k)
 	ks.mu.Lock()
@@ -368,16 +386,18 @@ func (v *Vulture) probeRead(ctx context.Context, sess *client.Session, k int) {
 		v.violate("corrupt-value", "%s: %v", key, derr)
 		return
 	}
-	if ver < floor {
+	ks.mu.Lock()
+	_, doubtful := ks.inDoubt[ver]
+	stale := ver < floor && !doubtful
+	phantom := ver > ks.attempted
+	if !stale {
+		ks.observed = max(ks.observed, ver)
+	}
+	ks.mu.Unlock()
+	if stale {
 		v.violate("stale-read", "%s: read version %d below known floor %d", key, ver, floor)
 		return
 	}
-	ks.mu.Lock()
-	phantom := ver > ks.attempted
-	if ver > ks.observed {
-		ks.observed = ver
-	}
-	ks.mu.Unlock()
 	if phantom {
 		v.violate("phantom-version", "%s: read version %d, never written (attempted <= it at completion)", key, ver)
 	}

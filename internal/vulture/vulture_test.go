@@ -238,3 +238,71 @@ func TestOutageAttribution(t *testing.T) {
 		t.Fatalf("spurious extra window: %d", got)
 	}
 }
+
+// scriptedKV answers the probes from a script: a write fails with the
+// error planted for its version, a read returns the planted version.
+type scriptedKV struct {
+	writeErr map[uint64]error
+	readVer  uint64
+}
+
+func (s *scriptedKV) Put(_ context.Context, key string, value []byte) error {
+	ver, err := decodeValue(key, value)
+	if err != nil {
+		return err
+	}
+	return s.writeErr[ver]
+}
+
+func (s *scriptedKV) Get(_ context.Context, key string) ([]byte, error) {
+	return encodeValue(key, s.readVer), nil
+}
+
+// TestInDoubtWriteBookkeeping drives the probes' version accounting
+// directly. A timed-out write is in doubt: it may execute after the
+// next, acknowledged write, so reading it below the floor is legal.
+// Reads that are really stale, and versions never written, are still
+// violations.
+func TestInDoubtWriteBookkeeping(t *testing.T) {
+	cases := []struct {
+		name     string
+		writeErr map[uint64]error
+		writes   int
+		readVer  uint64
+		want     string // violation kind, "" for none
+	}{
+		{"timed-out v5 read after acked v6", map[uint64]error{5: client.ErrTimeout}, 6, 5, ""},
+		{"acked v4 read after acked v6", nil, 6, 4, "stale-read"},
+		{"acked v4 read after timed-out v5 and acked v6", map[uint64]error{5: client.ErrTimeout}, 6, 4, "stale-read"},
+		{"refused v5 read after acked v6", map[uint64]error{5: client.ErrDraining}, 6, 5, "stale-read"},
+		{"never-attempted v7", nil, 6, 7, "phantom-version"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := New(Config{
+				Client:  client.Config{Addrs: map[ids.ProcessID]string{1: "127.0.0.1:1"}},
+				Writers: 1,
+				Keys:    1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv := &scriptedKV{writeErr: tc.writeErr, readVer: tc.readVer}
+			ctx := context.Background()
+			for i := 0; i < tc.writes; i++ {
+				v.probeWrite(ctx, kv, 0)
+			}
+			v.probeRead(ctx, kv, 0)
+			r := v.Report()
+			if tc.want == "" {
+				if r.Violations != 0 {
+					t.Fatalf("violations %v, want none", r.Details)
+				}
+				return
+			}
+			if r.Violations != 1 || r.Kinds[tc.want] != 1 {
+				t.Fatalf("violations %v, want one %s", r.Kinds, tc.want)
+			}
+		})
+	}
+}
